@@ -63,14 +63,9 @@ class FittedDistribution:
         raise ValueError(f"unknown distribution {self.name!r}")  # pragma: no cover
 
 
-def _erf_vec(x: np.ndarray) -> np.ndarray:
-    # numpy has no erf; use scipy's if importable, else math.erf elementwise.
-    try:
-        from scipy.special import erf  # noqa: PLC0415
-
-        return erf(x)
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        return np.vectorize(math.erf)(x)
+#: Elementwise ``math.erf`` (numpy has none); it only feeds the
+#: log-normal CDF, so it need not load scipy.
+_erf_vec = np.vectorize(math.erf, otypes=[np.float64])
 
 
 def _norm_ppf(q: float) -> float:

@@ -16,11 +16,13 @@ demoted this way.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.raslog.catalog import EventCatalog, EventType, default_catalog
 from repro.raslog.events import Facility, RASEvent
-from repro.raslog.store import EventLog
+from repro.raslog.store import EventColumns, EventLog, Kind
 
 _WS = re.compile(r"\s+")
 
@@ -46,10 +48,10 @@ class CategorizationReport:
     demoted_fatals: int = 0
     unmatched_by_facility: dict[Facility, int] = field(default_factory=dict)
 
-    def record_unmatched(self, facility: Facility) -> None:
-        self.unmatched += 1
+    def record_unmatched(self, facility: Facility, n: int = 1) -> None:
+        self.unmatched += n
         self.unmatched_by_facility[facility] = (
-            self.unmatched_by_facility.get(facility, 0) + 1
+            self.unmatched_by_facility.get(facility, 0) + n
         )
 
     @property
@@ -87,10 +89,12 @@ class Categorizer:
 
     def classify(self, event: RASEvent) -> EventType | None:
         """Find the low-level type of a record, or None when unmatched."""
-        if event.entry_data in self._codes:
-            return self.catalog.get(event.entry_data)
-        key = (event.facility, normalize_description(event.entry_data))
-        return self._by_key.get(key)
+        return self._lookup(event.facility, event.entry_data)
+
+    def _lookup(self, facility: Facility, entry_data: str) -> EventType | None:
+        if entry_data in self._codes:
+            return self.catalog.get(entry_data)
+        return self._by_key.get((facility, normalize_description(entry_data)))
 
     def is_fatal(self, event: RASEvent) -> bool:
         """Catalog-level fatality of a record (False when unmatched)."""
@@ -100,28 +104,62 @@ class Categorizer:
     def categorize(
         self, log: EventLog, report: CategorizationReport | None = None
     ) -> EventLog:
-        """Rewrite ``entry_data`` to catalog codes; apply the unknown policy."""
-        out: list[RASEvent] = []
-        for event in log:
-            etype = self.classify(event)
-            if etype is None:
-                if self.unknown == "error":
-                    raise ValueError(
-                        f"uncategorizable event: facility={event.facility.value} "
-                        f"entry_data={event.entry_data!r}"
-                    )
-                if report is not None:
-                    report.record_unmatched(event.facility)
-                if self.unknown == "keep":
-                    out.append(event)
-                continue
+        """Rewrite ``entry_data`` to catalog codes; apply the unknown policy.
+
+        Each distinct record kind is classified once; the records keep
+        their columns and get a rewritten kind column.
+        """
+        columns = log.columns
+        types = [self._lookup(kind[1], kind[3]) for kind in columns.kinds]
+        matched = np.array([t is not None for t in types], dtype=bool)
+        row_matched = matched[columns.kind_ids]
+        all_matched = bool(row_matched.all())
+        if self.unknown == "error" and not all_matched:
+            first = int(np.argmin(row_matched))
             if report is not None:
-                report.matched += 1
-                if event.severity.is_fatal_class and not etype.fatal:
-                    report.demoted_fatals += 1
-            out.append(event.with_entry_data(etype.code))
-        return EventLog(out, origin=log.origin, _presorted=True)
+                _tally(report, columns.take(slice(0, first)), types)
+            _, facility, _, entry_data = columns.kinds[columns.kind_ids[first]]
+            raise ValueError(
+                f"uncategorizable event: facility={facility.value} "
+                f"entry_data={entry_data!r}"
+            )
+        if report is not None:
+            _tally(report, columns, types)
+        # Unmatched kinds stay as they are (only "keep" has rows of them).
+        table: dict[Kind, int] = {}
+        remap = np.array(
+            [
+                table.setdefault(
+                    kind if etype is None else (*kind[:3], etype.code), len(table)
+                )
+                for kind, etype in zip(columns.kinds, types)
+            ],
+            dtype=np.intp,
+        )
+        out = replace(columns, kind_ids=remap[columns.kind_ids], kinds=tuple(table))
+        if self.unknown == "skip" and not all_matched:
+            out = out.take(row_matched)
+        return EventLog.from_columns(out, origin=log.origin)
 
     def fatal_codes(self) -> frozenset[str]:
         """Codes in the (cleaned) failure list — fake fatals excluded."""
         return frozenset(t.code for t in self.catalog.fatal_types())
+
+
+def _tally(
+    report: CategorizationReport,
+    columns: EventColumns,
+    types: list[EventType | None],
+) -> None:
+    """Add the records of ``columns`` to ``report``, one pass per kind."""
+    for (_, facility, severity, _), etype, n in zip(
+        columns.kinds, types, columns.kind_counts()
+    ):
+        if not n:
+            continue
+        if etype is None:
+            report.record_unmatched(facility, n)
+            continue
+        report.matched += n
+        if severity.is_fatal_class and not etype.fatal:
+            report.demoted_fatals += n

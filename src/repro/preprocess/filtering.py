@@ -18,12 +18,11 @@ raw log, or the catalog code after categorization; both work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress as _itcompress
 
 import numpy as np
 
 from repro.raslog.events import Facility
-from repro.raslog.store import EventLog
+from repro.raslog.store import EventColumns, EventLog
 
 
 @dataclass
@@ -59,55 +58,32 @@ class FilterStats:
         )
 
 
-def _factorize(values, n: int) -> tuple[np.ndarray, int]:
-    """Hash-factorize a column of hashables into dense int64 codes.
-
-    A dict build is O(n) with C-speed hashing, which beats sort-based
-    ``np.unique`` on object arrays (those compare elements in Python).
-    """
-    table: dict[object, int] = {}
-    codes = np.fromiter(
-        (table.setdefault(v, len(table)) for v in values),
-        dtype=np.int64,
-        count=n,
-    )
-    return codes, max(len(table), 1)
-
-
-def _group_ids(columns) -> np.ndarray:
-    """Fold ``(codes, cardinality)`` columns into one dense group id.
+def _group_ids(columns: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Fold ``(ids, cardinality)`` columns into one group id per row.
 
     Rows are in the same group iff they are equal in every column.  The
-    combined id is re-compressed (``np.unique`` over int64, a C-speed
-    sort) after every fold, so ids stay dense and the mixed-radix
-    product can never overflow int64.
+    ids are folded in mixed radix; the running id is re-densified
+    (``np.unique``, a C-speed sort) only when the next fold could
+    overflow int64.
     """
-    columns = list(columns)
-    gid, _ = columns[0]
-    for codes, cardinality in columns[1:]:
-        gid = gid * np.int64(cardinality) + codes
-        _, gid = np.unique(gid, return_inverse=True)
+    gid, radix = columns[0]
+    gid = gid.astype(np.int64, copy=False)
+    for ids, cardinality in columns[1:]:
+        if radix * cardinality >= 1 << 62:
+            uniques, gid = np.unique(gid, return_inverse=True)
+            radix = max(len(uniques), 1)
+        gid = gid * np.int64(cardinality) + ids
+        radix *= cardinality
     return gid
 
 
-def _key_columns(log: EventLog, with_location: bool):
-    n = len(log)
-    columns = [
-        _factorize((e.job_id for e in log), n),
-        _factorize((e.entry_data for e in log), n),
-    ]
+def _identity(columns: EventColumns, with_location: bool) -> list[tuple[np.ndarray, int]]:
+    """Id columns of an event's identity: Job ID, entry data[, Location]."""
+    jobs, job_ids = np.unique(columns.job_ids, return_inverse=True)
+    identity = [(job_ids, max(len(jobs), 1)), columns.entry_ids()]
     if with_location:
-        columns.append(_factorize((e.location for e in log), n))
-    return columns
-
-
-def _select(log: EventLog, keep: np.ndarray) -> EventLog:
-    if keep.all():
-        return log
-    kept = tuple(_itcompress(log.events, keep))
-    times = log.timestamps[keep]
-    times.setflags(write=False)
-    return EventLog._from_parts(kept, times, log.origin)
+        identity.append((columns.location_ids, max(len(columns.locations), 1)))
+    return identity
 
 
 def _coalesce(
@@ -129,7 +105,7 @@ def _coalesce(
     if threshold == 0 or len(log) == 0:
         return log
 
-    gid = _group_ids(_key_columns(log, with_location))
+    gid = _group_ids(_identity(log.columns, with_location))
     # Stable sort by group id: EventLog is time-sorted, so within each
     # group the original (time) order is preserved.
     order = np.argsort(gid, kind="stable")
@@ -143,7 +119,7 @@ def _coalesce(
 
     keep = np.zeros(len(order), dtype=bool)
     keep[order[starts]] = True
-    return _select(log, keep)
+    return log.take(keep)
 
 
 def temporal_compress(
@@ -183,14 +159,12 @@ def deduplicate_exact(log: EventLog) -> EventLog:
     """
     if len(log) == 0:
         return log
-    # Timestamps are float64 and sort at C speed, so np.unique is the
-    # fast factorizer here (unlike the string columns).
-    ts_uniques, ts_codes = np.unique(log.timestamps, return_inverse=True)
-    times = (ts_codes.astype(np.int64, copy=False), max(len(ts_uniques), 1))
-    gid = _group_ids([times, *_key_columns(log, with_location=True)])
+    ts_uniques, ts_ids = np.unique(log.timestamps, return_inverse=True)
+    times = (ts_ids, max(len(ts_uniques), 1))
+    gid = _group_ids([times, *_identity(log.columns, with_location=True)])
     # First occurrence (lowest original index) of each signature wins,
     # exactly like the first-seen-wins set scan this replaces.
     _, first = np.unique(gid, return_index=True)
     keep = np.zeros(len(log), dtype=bool)
     keep[first] = True
-    return _select(log, keep)
+    return log.take(keep)

@@ -20,8 +20,10 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.raslog.events import Facility, RASEvent, Severity
-from repro.raslog.store import EventLog
+from repro.raslog.store import EventColumns, EventLog, Kind
 
 #: Number of whitespace-separated header fields before the message text.
 _HEADER_FIELDS = 9
@@ -51,23 +53,38 @@ class ParseReport:
             self.errors.append(err)
 
 
-def parse_line(line: str, line_no: int = 0) -> RASEvent:
-    """Parse one LogHub BGL line into a :class:`RASEvent`.
+def _split(line: str, line_no: int) -> tuple[float, str, tuple[str, str, str, str, str]]:
+    """The line grammar: ``(timestamp, location, header)`` of one line.
 
-    The LogHub format carries no Job ID; ``job_id`` is set to 0 and real
-    deployments can re-join job information from the scheduler log.
+    ``header`` holds the raw ``(label, mechanism, facility, severity,
+    message)`` tokens that :func:`_kind` validates.  Raises
+    :class:`ParseError` for a short line or a bad or negative epoch.
     """
-    parts = line.rstrip("\n").split(None, _HEADER_FIELDS)
-    if len(parts) < _HEADER_FIELDS:
+    parts = line.split(None, _HEADER_FIELDS)
+    if len(parts) == _HEADER_FIELDS:
+        parts.append("")
+    elif len(parts) < _HEADER_FIELDS:
         raise ParseError(line_no, line, "expected at least 9 fields")
-    label, epoch_s, _date, location, _full_ts, _loc2, mechanism, fac_s, sev_s = parts[
-        :_HEADER_FIELDS
-    ]
-    message = parts[_HEADER_FIELDS] if len(parts) > _HEADER_FIELDS else ""
+    label, epoch_s, _date, location, _full_ts, _loc2, mechanism, fac_s, sev_s, message = (
+        parts
+    )
+    # Only the message (the unsplit remainder) keeps the line's newline.
+    message = message.rstrip("\n")
     try:
-        timestamp = float(int(epoch_s))
-    except ValueError:
+        epoch = int(epoch_s)
+        timestamp = float(epoch)
+    except (ValueError, OverflowError):
         raise ParseError(line_no, line, f"bad epoch field {epoch_s!r}") from None
+    if epoch < 0:
+        raise ParseError(line_no, line, f"negative epoch {epoch_s!r}")
+    return timestamp, location, (label, mechanism, fac_s, sev_s, message)
+
+
+def _kind(
+    header: tuple[str, str, str, str, str], line_no: int, line: str
+) -> Kind:
+    """Validate a raw header into ``(event_type, facility, severity, message)``."""
+    label, mechanism, fac_s, sev_s, message = header
     try:
         facility = Facility.parse(fac_s)
     except ValueError:
@@ -79,6 +96,17 @@ def parse_line(line: str, line_no: int = 0) -> RASEvent:
     # The alert label marks lines LogHub's curators flagged; keep it in the
     # event_type channel alongside the recording mechanism.
     event_type = mechanism if label == "-" else f"{mechanism}:{label}"
+    return event_type, facility, severity, message
+
+
+def parse_line(line: str, line_no: int = 0) -> RASEvent:
+    """Parse one LogHub BGL line into a :class:`RASEvent`.
+
+    The LogHub format carries no Job ID; ``job_id`` is set to 0 and real
+    deployments can re-join job information from the scheduler log.
+    """
+    timestamp, location, header = _split(line, line_no)
+    event_type, facility, severity, message = _kind(header, line_no, line)
     return RASEvent(
         record_id=line_no,
         event_type=event_type,
@@ -123,16 +151,63 @@ def load_log(
 ) -> EventLog:
     """Parse a LogHub BGL file (or open text stream) into an EventLog.
 
+    Lines go straight into interned columns: each distinct header is
+    validated once, and rows are built only when the log is read row by
+    row.  Blank and malformed lines are handled as by :func:`iter_lines`.
     The log's origin is set to the earliest event time so that week
     arithmetic starts at the head of the trace.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", errors="replace") as fh:
-            events = list(iter_lines(fh, strict=strict, report=report))
-    else:
-        events = list(iter_lines(source, strict=strict, report=report))
-    origin = min((e.timestamp for e in events), default=0.0)
-    return EventLog(events, origin=origin)
+            return _load_columns(fh, strict, report)
+    return _load_columns(source, strict, report)
+
+
+def _load_columns(
+    lines: Iterable[str], strict: bool, report: ParseReport | None
+) -> EventLog:
+    times: list[float] = []
+    record_ids: list[int] = []
+    location_ids: list[int] = []
+    kind_ids: list[int] = []
+    locations: dict[str, int] = {}
+    kind_of_header: dict[tuple[str, str, str, str, str], int] = {}
+    kinds: list[Kind] = []
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                timestamp, location, header = _split(line, line_no)
+                kind = kind_of_header.get(header)
+                if kind is None:
+                    kinds.append(_kind(header, line_no, line))
+                    kind = kind_of_header[header] = len(kinds) - 1
+            except ParseError as err:
+                # A blank line always fails the field count.
+                if not line.strip():
+                    continue
+                if strict:
+                    raise
+                if report is not None:
+                    report.record_error(err)
+                continue
+            times.append(timestamp)
+            record_ids.append(line_no)
+            location_ids.append(locations.setdefault(location, len(locations)))
+            kind_ids.append(kind)
+    finally:
+        if report is not None:
+            report.parsed += len(times)
+    columns = EventColumns(
+        times=np.array(times, dtype=np.float64),
+        record_ids=np.array(record_ids, dtype=np.int64),
+        job_ids=np.zeros(len(times), dtype=np.int64),
+        location_ids=np.array(location_ids, dtype=np.intp),
+        kind_ids=np.array(kind_ids, dtype=np.intp),
+        locations=tuple(locations),
+        kinds=tuple(kinds),
+    )
+    origin = min(times, default=0.0)
+    return EventLog.from_columns(columns, origin=origin)
 
 
 def format_line(event: RASEvent, origin_epoch: float = 1_100_000_000.0) -> str:

@@ -51,6 +51,11 @@ class TestParseLine:
         with pytest.raises(ParseError, match="bad epoch"):
             parse_line(bad)
 
+    def test_negative_epoch(self):
+        bad = GOOD_LINE.replace("1117838570", "-5")
+        with pytest.raises(ParseError, match="negative epoch '-5'"):
+            parse_line(bad)
+
     def test_unknown_facility(self):
         bad = GOOD_LINE.replace(" KERNEL ", " QUANTUM ")
         with pytest.raises(ParseError, match="unknown facility"):
@@ -60,6 +65,13 @@ class TestParseLine:
         bad = GOOD_LINE.replace(" INFO ", " MEH ")
         with pytest.raises(ParseError, match="unknown severity"):
             parse_line(bad)
+
+    def test_newline_not_in_message(self):
+        assert parse_line(GOOD_LINE + "\n").entry_data == (
+            "instruction cache parity error corrected"
+        )
+        short = " ".join(GOOD_LINE.split()[:9])
+        assert parse_line(short + "\n").entry_data == ""
 
     def test_empty_message_allowed(self):
         short = " ".join(GOOD_LINE.split()[:9])
@@ -80,6 +92,15 @@ class TestIterLines:
         assert report.skipped == 1
         assert len(report.errors) == 1
 
+    def test_lenient_skips_negative_epoch(self):
+        report = ParseReport()
+        bad = GOOD_LINE.replace("1117838570", "-5")
+        events = list(iter_lines([GOOD_LINE, bad, ALERT_LINE], report=report))
+        assert len(events) == 2
+        assert (report.parsed, report.skipped) == (2, 1)
+        assert report.errors[0].line_no == 2
+        assert report.errors[0].reason == "negative epoch '-5'"
+
     def test_strict_raises(self):
         with pytest.raises(ParseError):
             list(iter_lines([GOOD_LINE, "garbage"], strict=True))
@@ -96,6 +117,21 @@ class TestLoadDump:
         log = load_log(io.StringIO(GOOD_LINE + "\n" + ALERT_LINE + "\n"))
         assert len(log) == 2
         assert log.origin == 1117838570.0
+
+    def test_load_lenient_skips_negative_epoch(self):
+        bad = GOOD_LINE.replace("1117838570", "-5")
+        report = ParseReport()
+        log = load_log(io.StringIO(f"{GOOD_LINE}\n{bad}\n{ALERT_LINE}\n"), report=report)
+        assert len(log) == 2
+        assert (report.parsed, report.skipped) == (2, 1)
+        assert report.errors[0].line_no == 2
+        assert report.errors[0].reason == "negative epoch '-5'"
+
+    def test_load_strict_raises_on_negative_epoch(self):
+        bad = GOOD_LINE.replace("1117838570", "-5")
+        with pytest.raises(ParseError, match="negative epoch") as info:
+            load_log(io.StringIO(f"{GOOD_LINE}\n{bad}\n"), strict=True)
+        assert info.value.line_no == 2
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "bgl.log"

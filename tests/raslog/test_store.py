@@ -204,3 +204,61 @@ class TestProperties:
         log = make_log([(t, f"e{i}") for i, t in enumerate(times)])
         total = sum(len(log.week(w)) for w in range(log.n_weeks))
         assert total == len(log)
+
+
+class TestColumns:
+    SPECS = [
+        (5.0, "b", {"location": "L2", "facility": Facility.APP}),
+        (1.0, "a", {"location": "L1", "job_id": 7}),
+        (3.0, "c", {"severity": Severity.FATAL}),
+        (1.0, "a2", {"location": "L1"}),
+    ]
+
+    def test_round_trip_through_columns(self):
+        log = make_log(self.SPECS, origin=0.5)
+        back = EventLog.from_columns(log.columns, origin=log.origin)
+        assert back.events == log.events
+        assert back.origin == 0.5
+        assert list(back.timestamps) == [1.0, 1.0, 3.0, 5.0]
+
+    def test_from_columns_sorts_stably(self):
+        log = make_log(self.SPECS)
+        shuffled = log.columns.take(np.array([3, 1, 2, 0]))
+        back = EventLog.from_columns(shuffled)
+        assert [e.entry_data for e in back] == ["a2", "a", "c", "b"]
+        assert np.all(np.diff(back.timestamps) >= 0)
+
+    def test_columns_read_only(self):
+        columns = make_log(self.SPECS).columns
+        with pytest.raises(ValueError):
+            columns.kind_ids[0] = 1
+
+    def test_single_row_access(self):
+        log = EventLog.from_columns(make_log(self.SPECS).columns)
+        expected = make_log(self.SPECS).events
+        assert log[0] == expected[0]
+        assert log[-1] == expected[-1]
+        assert log[1:][0] == expected[1]
+        with pytest.raises(IndexError):
+            log[len(expected)]
+
+    def test_views_share_built_rows(self):
+        log = EventLog.from_columns(make_log(self.SPECS).columns)
+        view = log.between(1.0, 4.0)
+        assert view.events[0] is log.events[0]
+        assert log.with_origin(9.0)[2] is view.events[2]
+
+    def test_take_carries_built_rows(self):
+        log = make_log(self.SPECS)
+        kept = log.take(np.array([True, False, True, False]))
+        assert kept.events == (log.events[0], log.events[2])
+        assert kept.events[0] is log.events[0]
+        assert kept.columns.kind_ids.tolist() == [
+            log.columns.kind_ids[0], log.columns.kind_ids[2]
+        ]
+
+    def test_counts_on_views(self):
+        log = EventLog.from_columns(make_log(self.SPECS).columns)
+        tail = log.between(3.0, 10.0)
+        assert tail.counts_by_facility() == {Facility.KERNEL: 1, Facility.APP: 1}
+        assert tail.counts_by_code() == {"c": 1, "b": 1}
