@@ -394,15 +394,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _framework_config(args)
     if _sharding_requested(args):
         return _run_service(args, config)
-    if (
-        args.checkpoint
-        or args.resume
-        or args.journal
-        or config.retrain_trigger == "adaptive"
-    ):
-        # The adaptive trigger lives in the online session (drift
-        # detectors feed off the stream); the batch framework below
-        # only knows the paper's fixed cadence.
+    if args.checkpoint or args.resume or args.journal:
         return _run_streaming(args, config)
     log, report = _prepare_log(args.input, strict=args.strict)
     _print_parse_report(report)
@@ -439,6 +431,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             failures=wm.n_fatal,
         )
     print(table.render())
+    if result.drift is not None:
+        print(_render_drift(result.drift))
     return 0
 
 

@@ -12,19 +12,17 @@ tail, and the *smallest* window whose F1 is within ``tolerance`` of the
 best is selected — smaller windows mean shorter event histories to
 maintain and cheaper online matching (the paper's stated motivation for
 not simply using two-hour windows everywhere).
-:class:`AdaptiveWindowFramework` plugs the tuner into the dynamic
-framework.
+A :class:`~repro.core.session.SessionCore` given a tuner runs it as a
+retrain-time step, so a core fed event by event tunes exactly like a
+batch run; :class:`AdaptiveWindowFramework` is the batch driver with a
+tuner attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.framework import (
-    DynamicMetaLearningFramework,
-    FrameworkConfig,
-    RetrainEvent,
-)
+from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
 from repro.core.meta import MetaLearner
 from repro.core.predictor import Predictor
 from repro.core.reviser import Reviser
@@ -136,7 +134,7 @@ class AdaptiveWindowTuner:
 
 
 class AdaptiveWindowFramework(DynamicMetaLearningFramework):
-    """Dynamic framework with per-retraining window tuning."""
+    """Dynamic framework whose runs tune ``Wp`` at every retraining."""
 
     def __init__(
         self,
@@ -147,20 +145,8 @@ class AdaptiveWindowFramework(DynamicMetaLearningFramework):
     ) -> None:
         super().__init__(config, catalog, executor)
         self.tuner = tuner or AdaptiveWindowTuner(tick=self.config.tick)
-        self.decisions: list[TuningDecision] = []
 
-    def _retrain(self, log: EventLog, week: int) -> RetrainEvent:
-        w0, w1 = self.config.policy.window(week)
-        train_log = log.slice_weeks(w0, w1)
-        decision = self.tuner.choose(
-            week,
-            train_log,
-            self.meta,
-            self.reviser,
-            self.catalog,
-            ensemble=self.config.ensemble,
-            dist_horizon_cap=self.config.dist_horizon_cap,
-        )
-        self.decisions.append(decision)
-        self._window = decision.chosen
-        return super()._retrain(log, week)
+    @property
+    def decisions(self) -> list[TuningDecision]:
+        """Window-tuning outcomes of the most recent run."""
+        return [] if self.core is None else self.core.decisions

@@ -4,10 +4,10 @@
 complete log; a deployment instead *streams* events as the CMCS reports
 them.  :class:`OnlinePredictionSession` is that mode: feed events one at
 a time with :meth:`ingest`, receive warnings back, and retraining fires
-automatically whenever the stream crosses a retraining boundary — using
-exactly the same training-window policy, meta-learner and reviser as the
-batch framework, so a streamed trace produces the same warnings as a
-batch run over the same events (covered by the equivalence tests).
+automatically whenever the stream crosses a retraining boundary.  Both
+modes run the same :class:`~repro.core.session.SessionCore` loop, so a
+streamed trace produces the same warnings as a batch run over the same
+events (covered by the equivalence tests).
 
 Structurally the session is a *facade* over a layered stack
 (:mod:`repro.core.session`): a pure :class:`~repro.core.session.SessionCore`
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro import observe
 from repro.alerts import FailureWarning
-from repro.core.framework import FrameworkConfig, RetrainEvent
+from repro.core.config import FrameworkConfig, RetrainEvent
 from repro.core.knowledge import KnowledgeRepository
 from repro.core.session import SessionCore, SessionSummary, StreamSession
 from repro.core.tracking import ChurnHistory

@@ -17,6 +17,9 @@ Every layer implements the same three-method :class:`StreamSession`
 protocol (``ingest`` / ``advance`` / ``flush``), so stacks are built by
 plain composition — ``JournalingSession(ReorderingSession(core))`` — and
 a fleet-level service can wrap N cores without any of them knowing.
+It is also the only copy of the paper's dynamic loop: the batch
+:meth:`~repro.core.framework.DynamicMetaLearningFramework.run` drives a
+whole log through one core.
 
 The core itself performs no durable I/O: it owns no files, no journal,
 no checkpoint format.  (It *does* record process-local metrics through
@@ -29,14 +32,14 @@ disk.)  Checkpoint serialization lives with the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro import observe
 from repro.adapt import DriftMonitor
 from repro.alerts import FailureWarning
-from repro.core.framework import FrameworkConfig, RetrainEvent
+from repro.core.config import FrameworkConfig, RetrainEvent
 from repro.core.knowledge import KnowledgeRepository
 from repro.core.meta import MetaLearner
 from repro.core.predictor import Predictor
@@ -49,6 +52,9 @@ from repro.raslog.events import RASEvent
 from repro.raslog.store import EventLog
 from repro.resilience.degrade import RetrainFailure, backoff_delay
 from repro.utils.timeutil import WEEK_SECONDS
+
+if TYPE_CHECKING:
+    from repro.core.adaptive import AdaptiveWindowTuner, TuningDecision
 
 
 @runtime_checkable
@@ -100,6 +106,10 @@ class SessionCore:
     streamed in; before that, :meth:`ingest` buffers silently.  Events
     must arrive in time order — tolerance for disorder is a wrapper's
     job (:class:`~repro.resilience.wrappers.ReorderingSession`).
+
+    With a ``tuner``, every retraining first picks the prediction window
+    ``Wp`` on the training set; mining, revision, the predictor and its
+    priming then all use that window.
     """
 
     def __init__(
@@ -108,10 +118,16 @@ class SessionCore:
         catalog: EventCatalog | None = None,
         executor: Executor | None = None,
         origin: float = 0.0,
+        tuner: AdaptiveWindowTuner | None = None,
     ) -> None:
         self.config = config or FrameworkConfig()
         self.catalog = catalog or default_catalog()
         self.origin = float(origin)
+        self.tuner = tuner
+        #: the active prediction window ``Wp``
+        self.window = self.config.prediction_window
+        #: window-tuning outcomes, one per tuned retraining
+        self.decisions: list[TuningDecision] = []
         self.meta = MetaLearner(
             learners=self.config.learners,
             catalog=self.catalog,
@@ -208,15 +224,25 @@ class SessionCore:
         train_log = history.slice_weeks(w0, w1)
 
         with observe.span("online.retrain"):
-            output = self.meta.train(
-                train_log, cfg.prediction_window, week=week
-            )
+            if self.tuner is not None:
+                decision = self.tuner.choose(
+                    week,
+                    train_log,
+                    self.meta,
+                    self.reviser,
+                    self.catalog,
+                    ensemble=cfg.ensemble,
+                    dist_horizon_cap=cfg.dist_horizon_cap,
+                )
+                self.decisions.append(decision)
+                self.window = decision.chosen
+            output = self.meta.train(train_log, self.window, week=week)
             candidates = output.records()
             candidate_keys = {r.key for r in candidates}
 
             if cfg.use_reviser:
                 revision = self.reviser.revise(
-                    candidates, train_log, cfg.prediction_window
+                    candidates, train_log, self.window
                 )
                 kept, removed_keys = revision.kept, revision.removed_keys
                 revise_seconds = revision.seconds
@@ -245,12 +271,14 @@ class SessionCore:
             self._predictor = self.make_predictor()
             # Re-prime the fresh predictor with the last Wp seconds of the
             # stream: the rule set changed but the system's recent past did
-            # not, so precursors that arrived just before the boundary must
+            # not, so precursors that arrived just before the handover must
             # still be able to complete a rule (batch/stream equivalence).
-            boundary = self._boundary_time(week)
+            # A degraded-mode retry hands over after the boundary, once
+            # events past it were observed.
+            handover = max(self._boundary_time(week), self._last_time)
             self._predictor.prime(
-                history.between(boundary - cfg.prediction_window, boundary),
-                now=boundary,
+                history.between(handover - self.window, float("inf")),
+                now=handover,
             )
 
     def make_predictor(self) -> Predictor:
@@ -258,7 +286,7 @@ class SessionCore:
         cfg = self.config
         return Predictor(
             self.repository.rules(),
-            window=cfg.prediction_window,
+            window=self.window,
             catalog=self.catalog,
             ensemble=cfg.ensemble,
             dist_horizon_cap=cfg.dist_horizon_cap,
@@ -430,7 +458,7 @@ class SessionCore:
         owed retraining (minus one prediction window for predictor
         priming); growing and static policies need the full history.
         """
-        wp = self.config.prediction_window
+        wp = self.window
         owed = [
             w
             for w in (self._pending_retrain_week, self._next_retrain_week)

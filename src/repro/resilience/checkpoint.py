@@ -27,6 +27,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.core.config import FrameworkConfig, RetrainEvent
 from repro.core.serialization import (
     record_from_dict,
     record_to_dict,
@@ -34,6 +35,7 @@ from repro.core.serialization import (
     warning_to_dict,
 )
 from repro.core.tracking import ChurnRecord
+from repro.core.windows import TrainingPolicy
 from repro.raslog.events import RASEvent
 from repro.resilience.degrade import (
     RetrainFailure,
@@ -126,7 +128,7 @@ def read_checkpoint(path: str | Path) -> dict[str, Any]:
 # -- config identity ------------------------------------------------------
 
 
-def config_to_dict(config) -> dict[str, Any]:
+def config_to_dict(config: FrameworkConfig) -> dict[str, Any]:
     """JSON-ready form of a :class:`FrameworkConfig`.
 
     ``learner_params`` must be JSON-serializable (it is for every
@@ -171,11 +173,8 @@ def config_to_dict(config) -> dict[str, Any]:
     return data
 
 
-def config_from_dict(data: dict[str, Any]):
+def config_from_dict(data: dict[str, Any]) -> FrameworkConfig:
     """Rebuild a :class:`FrameworkConfig` from :func:`config_to_dict`."""
-    from repro.core.framework import FrameworkConfig
-    from repro.core.windows import TrainingPolicy
-
     data = dict(data)
     policy = data.pop("policy")
     adapt = data.pop("adapt", None)
@@ -227,7 +226,7 @@ def churn_from_dict(data: dict[str, Any]) -> ChurnRecord:
     )
 
 
-def retrain_event_to_dict(event) -> dict[str, Any]:
+def retrain_event_to_dict(event: RetrainEvent) -> dict[str, Any]:
     return {
         "week": event.week,
         "train_span": list(event.train_span),
@@ -240,9 +239,7 @@ def retrain_event_to_dict(event) -> dict[str, Any]:
     }
 
 
-def retrain_event_from_dict(data: dict[str, Any]):
-    from repro.core.framework import RetrainEvent
-
+def retrain_event_from_dict(data: dict[str, Any]) -> RetrainEvent:
     return RetrainEvent(
         week=data["week"],
         train_span=tuple(data["train_span"]),

@@ -10,6 +10,7 @@ from repro.core.adaptive import (
 from repro.core.framework import FrameworkConfig
 from repro.core.meta import MetaLearner
 from repro.core.reviser import Reviser
+from repro.core.session import SessionCore
 from repro.raslog.store import EventLog
 
 
@@ -95,6 +96,29 @@ class TestAdaptiveFramework:
         assert windows <= chosen | {
             w.window for w in result.warnings if w.learner == "distribution"
         }
+
+    def test_core_tunes_online_like_batch(self, mid_trace):
+        """Tuning is a retrain step of the streaming core: a tuned core fed
+        event by event matches the batch run over the same weeks."""
+        config = FrameworkConfig(initial_train_weeks=20, retrain_weeks=8)
+        log = mid_trace.clean
+        framework = AdaptiveWindowFramework(
+            config,
+            catalog=mid_trace.catalog,
+            tuner=AdaptiveWindowTuner(candidates=(300.0, 1800.0)),
+        )
+        result = framework.run(log, end_week=36)
+        core = SessionCore(
+            config,
+            catalog=mid_trace.catalog,
+            origin=log.origin,
+            tuner=AdaptiveWindowTuner(candidates=(300.0, 1800.0)),
+        )
+        for event in log.slice_weeks(0, 36):
+            core.ingest(event)
+        assert len(core.decisions) == len(core.retrains) == 2
+        assert core.decisions == framework.decisions
+        assert core.warnings == result.warnings
 
     def test_produces_reasonable_accuracy(self, mid_trace):
         config = FrameworkConfig(initial_train_weeks=20, retrain_weeks=8)

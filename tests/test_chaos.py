@@ -14,6 +14,7 @@ import pytest
 from repro import faults, observe
 from repro.core.framework import DynamicMetaLearningFramework, FrameworkConfig
 from repro.core.online import OnlinePredictionSession
+from repro.core.session import SessionCore
 from repro.faults import (
     FaultInjected,
     FaultPlan,
@@ -193,8 +194,27 @@ class TestDegradedBatch:
         with faults.install(plan):
             result = framework.run(log)
         assert [f.week for f in result.retrain_failures] == [4]
-        # the owed retraining lands on the next week of the sweep
-        assert [r.week for r in result.retrains] == [2, 5, 6]
+        # batch runs the streaming core: the owed retraining lands once
+        # the 60 s backoff has elapsed, still inside week 4
+        assert [r.week for r in result.retrains] == [2, 4, 6]
+
+    def test_framework_degrade_equals_stream(self, catalog):
+        """Degraded mode keeps batch and stream warning-for-warning equal:
+        both run one SessionCore, so the retry schedule is the same."""
+        log = pattern_log()
+        crash = LearnerCrash(week=4, attempts=1)
+        with faults.install(FaultPlan(learner_crashes=[crash])):
+            batch = DynamicMetaLearningFramework(
+                degrade_config(), catalog=catalog
+            ).run(log)
+        core = SessionCore(degrade_config(), catalog=catalog)
+        with faults.install(FaultPlan(learner_crashes=[crash])):
+            stream(core, log)
+        assert [f.week for f in core.retrain_failures] == [4]
+        assert batch.warnings == core.warnings
+        assert [r.week for r in batch.retrains] == [
+            r.week for r in core.retrains
+        ]
 
     def test_framework_default_raises(self, catalog):
         log = pattern_log(6)

@@ -120,6 +120,19 @@ class TestRun:
         assert "precision=" in text
         assert "weekly accuracy" in text
 
+    def test_adaptive_trigger_runs_batch_with_drift(self, clean_log, capsys):
+        rc = main(
+            [
+                "run", str(clean_log), "--initial-weeks", "4",
+                "--retrain-weeks", "2", "--retrain-trigger", "adaptive",
+            ]
+        )
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "dynamic run over weeks 4-" in text
+        assert text.index("weekly accuracy") < text.index("  drift: scores [")
+        assert "triggers: wk4:initial" in text
+
 
 class TestSharding:
     def test_sharded_run_reports_per_shard(self, clean_log, capsys):

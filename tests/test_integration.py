@@ -7,8 +7,11 @@ from repro import (
     DynamicMetaLearningFramework,
     FrameworkConfig,
     GeneratorConfig,
+    MetaLearner,
     PreprocessingPipeline,
+    Reviser,
     SDSC_PROFILE,
+    dynamic_months,
     generate_log,
     static_initial,
 )
@@ -91,14 +94,19 @@ class TestPaperHeadlines:
 
         from repro.core.predictor import Predictor
 
-        framework = DynamicMetaLearningFramework(catalog=mid_trace.catalog)
-        event = framework._retrain(log, 26)
+        train_log = log.slice_weeks(*dynamic_months().window(26))
+        candidates = (
+            MetaLearner(catalog=mid_trace.catalog).train(train_log, 300.0).records()
+        )
+        revision = Reviser(catalog=mid_trace.catalog).revise(
+            candidates, train_log, 300.0
+        )
         predictor = Predictor(
-            framework.repository.rules(), 300.0, mid_trace.catalog
+            [r.rule for r in revision.kept], 300.0, mid_trace.catalog
         )
         week = log.week(27)
         predictor.state.clock = float(week.timestamps[0]) - 1.0
         t0 = time.perf_counter()
         predictor.replay(week)
         assert time.perf_counter() - t0 < 60.0
-        assert event.n_kept > 0
+        assert len(revision.kept) > 0
