@@ -11,7 +11,7 @@ Study* (ICPP 2008), including every substrate the paper depends on:
 * :mod:`repro.preprocess` — event categorization and temporal/spatial
   filtering (Section 3);
 * :mod:`repro.learners` — the three base predictive methods: association
-  rules (Apriori from scratch), statistical burst rules, and MLE-fitted
+  rules (Eclat from scratch), statistical burst rules, and MLE-fitted
   inter-arrival distributions (Section 4.1);
 * :mod:`repro.core` — the meta-learner (mixture of experts), the
   ROC-based reviser (Algorithm 1), the event-driven predictor

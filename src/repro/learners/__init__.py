@@ -1,14 +1,10 @@
 """Base predictive methods and their rule model (Section 4.1)."""
 
-from repro.learners.apriori import (
-    ItemsetCounts,
-    apriori,
-    association_rules_from,
-)
 from repro.learners.association import AssociationRuleLearner
 from repro.learners.base import BaseLearner
 from repro.learners.counting import CountThresholdLearner
 from repro.learners.distribution import DistributionLearner
+from repro.learners.eclat import ItemsetCounts, association_rules_from, eclat
 from repro.learners.fitting import (
     DISTRIBUTION_FAMILIES,
     FittedDistribution,
@@ -53,10 +49,10 @@ __all__ = [
     "RuleKey",
     "StatisticalRule",
     "StatisticalRuleLearner",
-    "apriori",
     "association_rules_from",
     "available_learners",
     "create_learner",
+    "eclat",
     "fit_best",
     "fit_exponential",
     "fit_family",

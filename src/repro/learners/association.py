@@ -2,9 +2,10 @@
 
 For every fatal event in the training set, the non-fatal events preceding
 it within the rule-generation window ``Wp`` form an *event set* (a
-transaction, together with the fatal event itself).  Standard Apriori
-mining over these transactions, with deliberately low support/confidence
-thresholds to capture rare failure patterns, yields rules of the form::
+transaction, together with the fatal event itself).  Frequent-itemset
+mining over these transactions (depth-first Eclat), with deliberately low
+support/confidence thresholds to capture rare failure patterns, yields
+rules of the form::
 
     {networkWarningInterrupt, networkError} -> socketReadFailure: 1.00
 
@@ -16,15 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.learners.apriori import apriori, association_rules_from
 from repro.learners.base import BaseLearner
+from repro.learners.eclat import association_rules_from, eclat
 from repro.learners.rules import AssociationRule, Rule
 from repro.raslog.catalog import EventCatalog
 from repro.raslog.store import EventLog
 
 
 class AssociationRuleLearner(BaseLearner):
-    """Mines ``{non-fatal precursors} → fatal`` rules with Apriori."""
+    """Mines ``{non-fatal precursors} → fatal`` rules with Eclat."""
 
     name = "association"
 
@@ -76,9 +77,7 @@ class AssociationRuleLearner(BaseLearner):
         tx = self.transactions(log, window)
         if not tx:
             return []
-        itemsets = apriori(
-            tx, self.min_support, max_len=self.max_antecedent + 1
-        )
+        itemsets = eclat(tx, self.min_support, max_len=self.max_antecedent + 1)
         fatal_codes = {t.code for t in self.catalog.fatal_types()}
         raw = association_rules_from(itemsets, fatal_codes, self.min_confidence)
         rules: list[Rule] = []

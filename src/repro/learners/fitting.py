@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -63,15 +64,17 @@ class FittedDistribution:
         raise ValueError(f"unknown distribution {self.name!r}")  # pragma: no cover
 
 
-#: Elementwise ``math.erf`` (numpy has none); it only feeds the
-#: log-normal CDF, so it need not load scipy.
+#: Elementwise ``math.erf`` (numpy has none) for the log-normal CDF.
+#: Together with ``_norm_ppf`` it keeps fitting and every quantile on
+#: numpy and the standard library, so no retraining loads scipy.
 _erf_vec = np.vectorize(math.erf, otypes=[np.float64])
+
+_STANDARD_NORMAL = NormalDist()
 
 
 def _norm_ppf(q: float) -> float:
-    from scipy.special import ndtri  # noqa: PLC0415
-
-    return float(ndtri(q))
+    """Standard normal quantile, ``Φ⁻¹(q)`` (Wichura's AS 241 algorithm)."""
+    return _STANDARD_NORMAL.inv_cdf(q)
 
 
 def _validate_sample(data: np.ndarray) -> np.ndarray:

@@ -87,6 +87,14 @@ class MetricsRegistry:
         ] = {}
 
     def _get_or_create(self, name: str, cls, labels: dict[str, object]):
+        if not labels:
+            # Hot path (one lookup per ingested event): an existing
+            # unlabeled instrument needs neither canonical labels nor the
+            # lock, since a dict read is atomic.  Creation, type errors
+            # and name validation all fall through to the locked path.
+            instrument = self._instruments.get((name, ()))
+            if type(instrument) is cls:
+                return instrument
         if not name:
             raise ValueError("instrument name must be non-empty")
         key = (name, labels_key(labels))

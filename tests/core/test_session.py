@@ -84,6 +84,23 @@ class TestSessionCore:
         assert summary.n_warnings == len(warnings)
         assert summary.precision > 0.9
 
+    def test_ingest_counts_into_the_scoped_registry(self, catalog):
+        """Instruments are looked up per event, never cached, so a
+        registry installed mid-stream receives the records from then on."""
+        first, scoped = observe.MetricsRegistry(), observe.MetricsRegistry()
+        core = SessionCore(fast_config(), catalog=catalog)
+        events = list(pattern_log(3))
+        half = len(events) // 2
+        with observe.use_registry(first):
+            for event in events[:half]:
+                core.ingest(event)
+        with observe.use_registry(scoped):
+            for event in events[half:]:
+                core.ingest(event)
+        assert first.counter("online.events").value == half
+        assert scoped.counter("online.events").value == len(events) - half
+        assert scoped.histogram("online.ingest").count > 0  # predictor live
+
     def test_flush_is_a_noop(self, catalog):
         core = SessionCore(fast_config(), catalog=catalog)
         assert core.flush() == []

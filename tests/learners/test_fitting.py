@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.learners.fitting import (
     DISTRIBUTION_FAMILIES,
+    _norm_ppf,
     fit_best,
     fit_exponential,
     fit_family,
@@ -98,6 +100,24 @@ class TestLognormal:
     def test_degenerate_sample(self):
         with pytest.raises(ValueError, match="zero variance"):
             fit_lognormal(np.full(50, 3.0))
+
+    def test_quantile_inverts_cdf(self):
+        fit = fit_lognormal(RNG.lognormal(4.0, 1.2, 300))
+        for q in (0.01, 0.3, 0.6, 0.99):
+            assert float(fit.cdf(fit.quantile(q))) == pytest.approx(q, rel=1e-12)
+
+
+class TestNormalQuantile:
+    def test_matches_scipy_ndtri(self):
+        q = np.concatenate(
+            [
+                np.logspace(-300, -1, 300),
+                np.linspace(0.0005, 0.9995, 2000),
+                1.0 - np.logspace(-15, -1, 150),
+            ]
+        )
+        ours = np.array([_norm_ppf(float(x)) for x in q])
+        np.testing.assert_allclose(ours, scipy.special.ndtri(q), rtol=1e-14, atol=0)
 
 
 class TestModelSelection:

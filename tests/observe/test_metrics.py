@@ -148,6 +148,25 @@ class TestRegistry:
         with pytest.raises(ValueError, match="non-empty"):
             MetricsRegistry().counter("")
 
+    def test_existing_unlabeled_lookup_skips_the_lock(self):
+        class Forbidden:
+            def __enter__(self):
+                raise AssertionError("registry lock taken")
+
+            def __exit__(self, *exc):
+                return False
+
+        reg = MetricsRegistry()
+        events = reg.counter("online.events")
+        ingest = reg.histogram("online.ingest")
+        reg._lock = Forbidden()
+        assert reg.counter("online.events") is events
+        assert reg.timer("online.ingest")._histogram is ingest
+        with pytest.raises(AssertionError, match="lock taken"):
+            reg.counter("online.new")  # creating still locks
+        with pytest.raises(AssertionError, match="lock taken"):
+            reg.counter("online.events", shard="R01")  # so do labels
+
     def test_span_records_into_histogram(self):
         reg = MetricsRegistry()
         with reg.span("stage") as sp:
